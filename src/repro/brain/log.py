@@ -13,8 +13,7 @@ byte-identical across hosts, repeat runs, and any ``--jobs`` width.
 
 from __future__ import annotations
 
-import hashlib
-import json
+from repro.faults.log import EventLog
 
 #: The lifecycle phases a brain-log entry can record: ``tick`` opens a
 #: decision round, the three action kinds record applied decisions, and
@@ -23,63 +22,15 @@ import json
 PHASES = ("tick", "migrate", "shrink", "grow", "decline")
 
 
-class BrainLog:
-    """Append-only decision log with deterministic serialisation."""
+class BrainLog(EventLog):
+    """The autotuner's decision log."""
 
-    def __init__(self) -> None:
-        self._entries: list[dict] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    PHASES = PHASES
+    KIND = "brain"
 
     def append(self, phase: str, *, t: float, job: str, **detail) -> dict:
         """Record one decision step; returns the entry."""
-        if phase not in PHASES:
-            raise ValueError(f"unknown log phase {phase!r}; expected one of {PHASES}")
-        entry = {
-            "seq": len(self._entries),
-            "t": round(float(t), 9),
-            "phase": phase,
-            "job": str(job),
-        }
-        if detail:
-            entry["detail"] = {
-                key: _jsonable(value) for key, value in sorted(detail.items())
-            }
-        self._entries.append(entry)
-        return entry
-
-    def to_dicts(self) -> list[dict]:
-        """A deep-enough copy safe to embed in payloads."""
-        return [
-            {**entry, **({"detail": dict(entry["detail"])} if "detail" in entry else {})}
-            for entry in self._entries
-        ]
-
-    def to_json(self) -> str:
-        """Canonical serialisation (sorted keys, no whitespace)."""
-        return json.dumps(self._entries, sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Short stable hash of the canonical serialisation."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
-
-    def phase_counts(self) -> dict[str, int]:
-        counts = {phase: 0 for phase in PHASES}
-        for entry in self._entries:
-            counts[entry["phase"]] += 1
-        return {phase: n for phase, n in counts.items() if n}
-
-
-def _jsonable(value):
-    """Coerce a detail value to JSON scalars/lists (fail loudly otherwise)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"brain log detail values must be JSON scalars, got {value!r}")
+        return self._append(phase, t, {"job": str(job)}, detail)
 
 
 __all__ = ["PHASES", "BrainLog"]

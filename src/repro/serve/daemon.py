@@ -222,24 +222,26 @@ class ServeRuntime:
                 self._crash(f"tick:{self._tick_no}")
         ack = self.engine.apply_op(op)
         self._applied_seq = seq
-        self._audit(seq, ack)
+        # One digest per op: the audit and any snapshot share it.
+        digest = self.engine.state_digest()
+        self._audit(seq, ack, digest)
         self._ops_since_snapshot += 1
         if (kind == "snapshot" and ack.get("ok")) or (
             self._ops_since_snapshot >= self.config.snapshot_every
         ):
-            self.take_snapshot()
+            self.take_snapshot(digest=digest)
         if kind == "stop" and ack.get("ok"):
             self.stopped = True
         return ack
 
-    def _audit(self, of_seq: int, ack: dict) -> None:
+    def _audit(self, of_seq: int, ack: dict, digest: str) -> None:
         self.journal.append(
             {
                 "kind": "audit",
                 "seq": self._next_seq,
                 "of": of_seq,
                 "ack": ack,
-                "digest": self.engine.state_digest(),
+                "digest": digest,
             }
         )
         self._next_seq += 1
@@ -248,8 +250,14 @@ class ServeRuntime:
         self.journal.append({"kind": "note", "seq": self._next_seq, **fields})
         self._next_seq += 1
 
-    def take_snapshot(self) -> pathlib.Path:
-        """Persist engine state into the stale slot; resets the cadence."""
+    def take_snapshot(self, *, digest: str | None = None) -> pathlib.Path:
+        """Persist engine state into the stale slot; resets the cadence.
+
+        ``digest`` is the engine's current :meth:`~ServeEngine.state_digest`
+        when the caller already computed it; it is computed otherwise.
+        """
+        if digest is None:
+            digest = self.engine.state_digest()
         self._snapshot_no += 1
         tear_after = None
         torn = self._kill == ("snapshot", self._snapshot_no)
@@ -261,11 +269,11 @@ class ServeRuntime:
             "applied_seq": self._applied_seq,
             "last_op_id": self.engine.last_op_id,
             "now": self.engine.now,
-            "digest": self.engine.state_digest(),
+            "digest": digest,
             "name": self.config.name,
         }
         path = self.store.save(
-            self.engine.snapshot_state(), meta, tear_after=tear_after
+            self.engine.snapshot_state(digest), meta, tear_after=tear_after
         )
         if torn:
             self._crash(f"snapshot:{self._snapshot_no}")

@@ -121,6 +121,8 @@ class ServeEngine:
         #: row per tick/drain — the daemon's continuously emitted
         #: goodput curve (virtual clock, so bit-stable across replays).
         self.series: list[list[float]] = []
+        #: name -> canonical ``"name":row`` of a DONE job (:meth:`_state_blob`).
+        self._done_rows: dict[str, str] = {}
 
     # -- op dispatch ----------------------------------------------------------
     def apply_op(self, op: dict) -> dict:
@@ -470,7 +472,41 @@ class ServeEngine:
         agree on this digest, and the recovery path verifies it against
         the journaled audit records.
         """
-        doc = {
+        return hashlib.sha256(self._state_blob()).hexdigest()[:16]
+
+    def _state_blob(self) -> bytes:
+        """The bytes :meth:`state_digest` hashes: the state's canonical JSON.
+
+        Built top-level key by key in sorted order, exactly the spelling
+        ``canonical_json`` gives the whole document, so the cost of an
+        op tracks what it changed: a ``DONE`` job's row is frozen and
+        encoded once (``_done_rows``, never snapshotted — a restored
+        engine re-encodes it on first use), and the fault and brain logs
+        digest only entries appended since their last digest.
+        """
+        done_rows = self._done_rows
+        jobs = []
+        for name in sorted(self.records):
+            row = done_rows.get(name)
+            if row is None:
+                record = self.records[name]
+                fields = [
+                    record.status,
+                    record.progress,
+                    sorted(record.nodes),
+                    record.grows,
+                    record.shrinks,
+                    record.cost_usd,
+                    record.running_seconds,
+                    record.solo_equivalent,
+                    record.membership.epoch if record.membership is not None else 0,
+                    record.waypoints,
+                ]
+                row = f"{canonical_json(name)}:{canonical_json(fields)}"
+                if record.status == DONE:
+                    done_rows[name] = row
+            jobs.append(row)
+        parts = {
             "now": self.now,
             "events": self.events,
             "occupied": self.occupied_node_seconds,
@@ -484,21 +520,6 @@ class ServeEngine:
             ),
             "running": [r.spec.name for r in self.running],
             "done": [r.spec.name for r in self.done],
-            "jobs": {
-                name: [
-                    record.status,
-                    record.progress,
-                    sorted(record.nodes),
-                    record.grows,
-                    record.shrinks,
-                    record.cost_usd,
-                    record.running_seconds,
-                    record.solo_equivalent,
-                    record.membership.epoch if record.membership is not None else 0,
-                    record.waypoints,
-                ]
-                for name, record in self.records.items()
-            },
             "faults": self.driver.log.digest() if self.driver is not None else None,
             "brain": (
                 self.brain_driver.log.digest()
@@ -506,12 +527,17 @@ class ServeEngine:
                 else None
             ),
         }
-        blob = canonical_json(doc).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        encoded = {key: canonical_json(value) for key, value in parts.items()}
+        encoded["jobs"] = "{" + ",".join(jobs) + "}"
+        body = ",".join(f"{canonical_json(key)}:{encoded[key]}" for key in sorted(encoded))
+        return ("{" + body + "}").encode("utf-8")
 
     # -- snapshot state extraction / restore ----------------------------------
-    def snapshot_state(self) -> dict:
+    def snapshot_state(self, digest: str | None = None) -> dict:
         """Every mutable piece, as one object graph (shared refs intact).
+
+        ``digest`` is the caller's :meth:`state_digest` of this same
+        state, when it already has one; it is computed otherwise.
 
         The scheduler itself (policy closure, memo caches) and the brain
         driver's back-reference to it are deliberately *excluded*: both
@@ -553,7 +579,7 @@ class ServeEngine:
             "rejected": self.rejected,
             "ticks": self.ticks,
             "series": self.series,
-            "digest": self.state_digest(),
+            "digest": digest if digest is not None else self.state_digest(),
         }
 
     @classmethod

@@ -49,9 +49,14 @@ class JournalError(RuntimeError):
     """A journal file that cannot be opened or appended to."""
 
 
-def canonical_json(record: dict) -> str:
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
+#: building a fresh encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(record) -> str:
     """The one spelling a record ever has (digest- and CRC-stable)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def encode_frame(record: dict) -> bytes:

@@ -128,21 +128,47 @@ class SnapshotLoad:
 
 
 class SnapshotStore:
-    """The daemon's two snapshot slots under one state directory."""
+    """The daemon's two snapshot slots under one state directory.
+
+    Choosing a target slot needs each slot's ``applied_seq``.  The store
+    remembers it for every slot it wrote in full or verified by a full
+    read, keyed on the file's ``(size, mtime_ns, inode)``: a slot whose
+    stat still matches is not read again, and one that is unknown or was
+    rewritten behind the store's back goes through the full verifying
+    :func:`read_snapshot`.
+    """
 
     def __init__(self, state_dir: str | pathlib.Path) -> None:
         self.state_dir = pathlib.Path(state_dir)
         self.slots = tuple(self.state_dir / name for name in SLOT_NAMES)
+        #: slot path -> (stat key, applied_seq) of a verified slot file.
+        self._seqs: dict[pathlib.Path, tuple[tuple[int, int, int], int]] = {}
+
+    @staticmethod
+    def _stat_key(path: pathlib.Path) -> tuple[int, int, int] | None:
+        try:
+            stat = path.stat()
+        except FileNotFoundError:
+            return None
+        return (stat.st_size, stat.st_mtime_ns, stat.st_ino)
 
     def _slot_seq(self, path: pathlib.Path) -> int | None:
         """``applied_seq`` of a slot's snapshot, or ``None`` if unusable."""
-        if not path.exists():
+        key = self._stat_key(path)
+        if key is None:
             return None
+        known = self._seqs.get(path)
+        if known is not None and known[0] == key:
+            return known[1]
         try:
             meta, _ = read_snapshot(path)
         except SnapshotCorruptError:
             return None
-        return int(meta.get("applied_seq", 0))
+        seq = int(meta.get("applied_seq", 0))
+        # Stat taken before the read: a write racing the read changes it,
+        # so the next lookup reads again.
+        self._seqs[path] = (key, seq)
+        return seq
 
     def target_slot(self) -> pathlib.Path:
         """The slot the next save must overwrite.
@@ -162,7 +188,10 @@ class SnapshotStore:
         self, state: object, meta: dict, *, tear_after: int | None = None
     ) -> pathlib.Path:
         path = self.target_slot()
+        self._seqs.pop(path, None)
         write_snapshot(path, state, meta, tear_after=tear_after)
+        if tear_after is None:
+            self._seqs[path] = (self._stat_key(path), int(meta.get("applied_seq", 0)))
         return path
 
     def load(self) -> SnapshotLoad | None:
